@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build vet test race lint cover bench-smoke bench bench-core bench-compiled bench-delta scale-ceiling bench-scale serve-bench fuzz-smoke chaos ci
+.PHONY: build vet test race lint cover bench-smoke bench bench-core bench-delta scale-ceiling bench-scale serve-bench fuzz-smoke chaos ci
 
 build:
 	$(GO) build ./...
@@ -52,19 +52,14 @@ bench:
 	BENCH_OBS=BENCH_obs.json $(GO) test -run '^$$' -bench . -benchtime=2s .
 
 # Full core-kernel measurement run: vectorized vs row-at-a-time vs
-# nested-loop vs compiled at 1k/10k/100k, converted to BENCH_core.json
-# with the >=5x vectorized and >=1.5x compiled speedup floors enforced.
+# nested-loop, and the production (folded) render vs the interpreted
+# render, at 1k/10k/100k, converted to BENCH_core.json with the >=5x
+# vectorized and >=1.5x compiled speedup floors enforced.
 # The out-of-core families (RenderSegment/JoinSegment/ScanPruned) are
 # excluded here — they have their own scale lane below.
 bench-core:
 	$(GO) test -run '^$$' -bench '^BenchmarkCore(Join(Nested)?|Render(Compiled)?|ETL|Rewrite)$$' -benchtime=5x -benchmem . | tee bench_core.txt
 	$(GO) run ./cmd/benchjson -in bench_core.txt -out BENCH_core.json -check -min-compiled 1.5
-
-# Compiled-render family only: the residual-program render against the
-# vectorized baseline at all three scales, with the >=1.5x floor at 100k.
-bench-compiled:
-	$(GO) test -run '^$$' -bench '^BenchmarkCoreRender(Compiled)?$$' -benchtime=5x -benchmem . | tee bench_compiled.txt
-	$(GO) run ./cmd/benchjson -in bench_compiled.txt -out BENCH_compiled.json -check-compiled -min-compiled 1.5
 
 # Incremental-refresh lane: stream delta batches through the warehouse
 # under background render traffic, in both refresh modes at 1k/10k/100k,

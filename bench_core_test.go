@@ -1,7 +1,7 @@
 // Core performance-trajectory benchmarks: every hot path of the
 // relational kernel (join, render, ETL, rewrite+execute) at three scales,
 // under both execution modes in the same run, plus the nested-loop join
-// baseline and the compiled residual-program render. cmd/benchjson
+// baseline and the production (folded residual-program) render. cmd/benchjson
 // parses the output of
 //
 //	go test -run '^$' -bench '^BenchmarkCore' -benchmem
@@ -11,6 +11,7 @@
 package plabi
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -114,20 +115,25 @@ func benchEngineAt(b *testing.B, n int) *core.Engine {
 	return e
 }
 
-// BenchmarkCoreRender measures the full enforced render of the flagship
-// drug-consumption report: SQL execution over the wide staging table,
-// aggregation with lineage, threshold enforcement on distinct-patient
-// support, and audit logging.
+// BenchmarkCoreRender measures the interpreted reference render of the
+// flagship drug-consumption report on its cached plan: SQL execution over
+// the wide staging table, aggregation with lineage, and threshold
+// enforcement on distinct-patient support, every iteration.
 func BenchmarkCoreRender(b *testing.B) {
 	for _, n := range coreScales {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			withMode(b, func(b *testing.B) {
 				e := benchEngineAt(b, n)
+				def, ok := e.Reports.Get("drug-consumption")
+				if !ok {
+					b.Fatal("drug-consumption not registered")
+				}
 				consumer := report.Consumer{Name: "bench", Role: "analyst", Purpose: "quality"}
+				ctx := context.Background()
 				b.ResetTimer()
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					enf, err := e.Render("drug-consumption", consumer)
+					enf, err := e.Enforcer().RenderInterpreted(ctx, def, consumer)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -140,19 +146,17 @@ func BenchmarkCoreRender(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreRenderCompiled measures the same enforced render through
-// the compiled residual program (relation.ExecCompiled): policy
-// composition specialized at plan-build time, and — because the plan
-// generations pin the catalog — the enforced result constant-folded on
-// the first render and replayed (deep-copied) on every subsequent one.
+// BenchmarkCoreRenderCompiled measures the same report through the
+// production render path: policy composition specialized into a residual
+// program at plan-build time, and — because the plan generations pin the
+// catalog — the enforced result constant-folded on the first render and
+// replayed (deep-copied) on every subsequent one, with audit logging.
 // The steady-state ratio against BenchmarkCoreRender's vectorized mode
 // is the compiled-over-vectorized floor cmd/benchjson enforces.
 func BenchmarkCoreRenderCompiled(b *testing.B) {
 	for _, n := range coreScales {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.Run("mode=compiled", func(b *testing.B) {
-				prev := relation.SetExecMode(relation.ExecCompiled)
-				defer relation.SetExecMode(prev)
 				e := benchEngineAt(b, n)
 				consumer := report.Consumer{Name: "bench", Role: "analyst", Purpose: "quality"}
 				b.ResetTimer()

@@ -154,6 +154,7 @@ func main() {
 				tenant := names[rng.Intn(len(names))]
 				c := clients[tenant]
 				var s sample
+				var err error
 				start := time.Now()
 				if rng.Float64() < *mix {
 					s.op = "render"

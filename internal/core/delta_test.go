@@ -363,7 +363,6 @@ func TestFoldEpochGranularInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetCompiledRenders(true)
 	probe := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
 
 	first, err := e.Render("drug-consumption", probe)

@@ -259,10 +259,6 @@ func (e *Engine) SetCacheSize(n int) { e.enforcer.SetCacheSize(n) }
 // CacheStats snapshots the render decision-cache counters.
 func (e *Engine) CacheStats() enforce.CacheStats { return e.enforcer.CacheStats() }
 
-// SetCompiledRenders forces this engine's renders through the residual
-// compiled programs regardless of the process-wide execution mode.
-func (e *Engine) SetCompiledRenders(on bool) { e.enforcer.SetCompiledRenders(on) }
-
 // ProgramGeneration counts the residual programs compiled over this
 // engine's lifetime. It moves on every plan build — including the
 // rebuilds a policy change (AddPLAs, DeriveMetaReports, hot reload)
@@ -271,7 +267,7 @@ func (e *Engine) ProgramGeneration() uint64 { return e.enforcer.ProgramGeneratio
 
 // CompileReport specializes one (report, role, purpose) triple into its
 // residual render program and returns it for inspection. The program is
-// the same object compiled renders execute: it lands in the
+// the same object renders execute: it lands in the
 // generation-keyed decision cache, so a subsequent render at unchanged
 // generations reuses it. The unknown-report case wraps
 // report.ErrUnknownReport.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 
 // scenarioRun captures everything observable about one full scenario run:
 // rendered tables, enforcement decisions, intervention counters, and the
-// audit trail. The vectorized, row-at-a-time and compiled execution modes
-// must produce identical runs — the acceptance bar for the batch kernel
-// layer and for the residual-program compiler above it.
+// audit trail. The vectorized and row-at-a-time execution modes must
+// produce identical runs — the acceptance bar for the batch kernel layer —
+// and inside every run each folded render must match the interpreted
+// reference render — the acceptance bar for the residual-program fold.
 type scenarioRun struct {
 	tables     map[string]string
 	decisions  map[string][]string
@@ -63,23 +65,29 @@ func runScenarioWith(t *testing.T, mode relation.ExecMode, configure func(*Engin
 	for _, d := range StandardReports() {
 		for _, c := range consumers {
 			key := d.ID + "/" + c.Role + "/" + c.Purpose
-			// Render every triple twice: in compiled mode the first render
-			// folds the result and the second replays the fold, so the
-			// equivalence bar covers both the cold and the replay path.
+			// Render every triple twice: the first render folds the
+			// result and the second replays the fold, so the equivalence
+			// bar covers both the cold and the replay path. Both must
+			// match the interpreted reference on the same engine.
+			ref, refErr := e.Enforcer().RenderInterpreted(context.Background(), d, c)
 			for pass := 0; pass < 2; pass++ {
 				enf, err := e.Render(d.ID, c)
 				if err != nil {
 					run.tables[key] = "ERR: " + err.Error()
+					if refErr == nil || refErr.Error() != err.Error() {
+						t.Errorf("mode %v: %s pass %d: error %v, interpreted reference error %v", mode, key, pass, err, refErr)
+					}
 					continue
+				}
+				if refErr != nil {
+					t.Errorf("mode %v: %s pass %d: rendered, interpreted reference error %v", mode, key, pass, refErr)
+				} else if got, want := renderSignature(enf), renderSignature(ref); got != want {
+					t.Errorf("mode %v: %s pass %d diverged from the interpreted reference:\nfolded:\n%s\ninterpreted:\n%s", mode, key, pass, got, want)
 				}
 				run.tables[key] = enf.Table.String()
 				run.masked[key] = enf.MaskedCells
 				run.suppressed[key] = enf.SuppressedRows
-				for _, dec := range enf.Decisions {
-					run.decisions[key] = append(run.decisions[key],
-						fmt.Sprintf("%v|%s|%s|%s", dec.Outcome, dec.Rule, dec.Subject, dec.Detail))
-				}
-				_ = enforce.Blocked(enf.Decisions)
+				run.decisions[key] = decisionStrings(enf)
 			}
 		}
 	}
@@ -87,6 +95,23 @@ func runScenarioWith(t *testing.T, mode relation.ExecMode, configure func(*Engin
 		run.auditKinds[ev.Kind]++
 	}
 	return run
+}
+
+// decisionStrings flattens an enforced render's decision stream.
+func decisionStrings(enf *enforce.Enforced) []string {
+	out := make([]string, 0, len(enf.Decisions))
+	for _, dec := range enf.Decisions {
+		out = append(out, fmt.Sprintf("%v|%s|%s|%s", dec.Outcome, dec.Rule, dec.Subject, dec.Detail))
+	}
+	return out
+}
+
+// renderSignature is everything a consumer and the audit trail observe
+// of one render: the table, the decision stream and the intervention
+// counters.
+func renderSignature(enf *enforce.Enforced) string {
+	return fmt.Sprintf("%s\ndecisions=%q\nmasked=%d suppressed=%d",
+		enf.Table.String(), decisionStrings(enf), enf.MaskedCells, enf.SuppressedRows)
 }
 
 // compareRuns requires two scenario runs to be byte-identical: tables,
@@ -133,18 +158,16 @@ func compareRuns(t *testing.T, aName, bName string, a, b scenarioRun) {
 
 // TestScenarioModeEquivalence runs the complete healthcare scenario —
 // synthetic workload, guarded ETL with entity resolution, every standard
-// report for three consumers, each rendered twice — under all three
-// execution modes and requires byte-identical tables, identical decision
-// streams, identical mask/suppression counters and identical audit event
-// counts. The vectorized run is the pivot: row-at-a-time is the seed
-// reference, compiled is the residual-program fold/replay path.
+// report for three consumers, each rendered twice — under both execution
+// modes and requires byte-identical tables, identical decision streams,
+// identical mask/suppression counters and identical audit event counts.
+// Within each run every fold and every replay must also match the
+// interpreted reference render (see runScenarioWith).
 func TestScenarioModeEquivalence(t *testing.T) {
 	vec := runScenario(t, relation.ExecVectorized)
 	row := runScenario(t, relation.ExecRowAtATime)
-	compiled := runScenario(t, relation.ExecCompiled)
 
 	compareRuns(t, "vectorized", "row", vec, row)
-	compareRuns(t, "vectorized", "compiled", vec, compiled)
 }
 
 // TestSegmentModeEquivalence is the storage-mode analogue: the complete
@@ -160,7 +183,6 @@ func TestSegmentModeEquivalence(t *testing.T) {
 	}{
 		{"row", relation.ExecRowAtATime},
 		{"vectorized", relation.ExecVectorized},
-		{"compiled", relation.ExecCompiled},
 	}
 	for _, mode := range modes {
 		mem := runScenario(t, mode.m)

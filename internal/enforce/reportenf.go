@@ -50,9 +50,6 @@ type ReportEnforcer struct {
 	metrics atomic.Pointer[obs.Metrics]
 	faults  atomic.Pointer[fault.Injector]
 
-	// compiled forces residual-program execution for this enforcer
-	// regardless of the process-wide exec mode.
-	compiled atomic.Bool
 	// programGen counts residual programs compiled by this enforcer; it
 	// bumps on every plan build, so hot reloads and policy changes are
 	// observable as recompilations rather than silent evictions.
@@ -125,10 +122,6 @@ func (e *ReportEnforcer) SetFaults(fi *fault.Injector) { e.faults.Store(fi) }
 func (e *ReportEnforcer) CacheStats() CacheStats {
 	return e.cache.Load().stats()
 }
-
-// SetCompiledRenders forces (or releases) residual-program execution for
-// this enforcer independent of the process-wide exec mode.
-func (e *ReportEnforcer) SetCompiledRenders(on bool) { e.compiled.Store(on) }
 
 // ProgramGeneration returns the number of residual programs this
 // enforcer has compiled. Every plan build — first render of a triple,
@@ -252,9 +245,8 @@ func (e *ReportEnforcer) planFor(def *report.Definition, role, purpose string) (
 // the data: parse, profile, compose the governing PLAs, run the static
 // check, and partially evaluate the composite into a residual program
 // (thresholds baked and sorted, row filters pre-bound, constant verdicts
-// folded, dead rules pruned). Programs compile in every execution mode —
-// the decision cache stores compiled programs — and execute in compiled
-// mode.
+// folded, dead rules pruned). The decision cache stores the compiled
+// program with the plan, and every render executes it.
 func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string, at gens) (*renderPlan, error) {
 	comp, prof, err := e.CompositeFor(def)
 	if err != nil {
@@ -519,8 +511,14 @@ const cancelCheckRows = 64
 
 // RenderContext executes the report and enforces the PLAs on the result,
 // honouring ctx cancellation between row chunks. Safe to call from many
-// goroutines at once. In compiled mode (process-wide ExecCompiled or
-// SetCompiledRenders) the render executes the plan's residual program.
+// goroutines at once.
+//
+// The plan's residual program pins the policy, catalog and configuration
+// generations, so within a valid plan the enforced result is a constant
+// of the data its read set covers: the first render (a fold miss) runs
+// RenderInterpreted's body and folds the result; every later render
+// replays the fold — zero query execution, zero policy interpretation —
+// re-emitting the same decisions into the audit trail.
 func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definition, consumer report.Consumer) (*Enforced, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -529,15 +527,97 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 	if err != nil {
 		return nil, err
 	}
-	if e.compiled.Load() || relation.CurrentExecMode() == relation.ExecCompiled {
-		return e.renderCompiled(ctx, def, consumer, plan, hit)
+	m := e.obs()
+	// Epoch check: the fold is a constant of the plan's *data*, not only
+	// its generations. An incremental refresh (Catalog.Refresh) moves the
+	// per-table epochs without moving the catalog generation, so the plan
+	// survives a delta while folds over touched tables re-fold. The
+	// snapshot is taken before query execution; a commit racing the fold
+	// can only make the stored snapshot stale, forcing one extra re-fold —
+	// never a stale replay.
+	cur := e.Catalog.EpochsFor(plan.reads)
+	plan.foldMu.Lock()
+	fold := plan.fold
+	if fold != nil && !epochsEqual(fold.epochs, cur) {
+		plan.fold = nil
+		fold = nil
+		m.Counter("compile.fold.invalidations").Inc()
 	}
-	return e.renderInterpreted(ctx, def, consumer, plan, hit)
+	plan.foldMu.Unlock()
+	if fold == nil {
+		m.Counter("compile.fold.misses").Inc()
+		enf, err := e.interpret(ctx, def, consumer, plan, hit)
+		if err != nil {
+			return nil, err
+		}
+		snap := &foldedRender{
+			static:     len(Blocked(plan.static)) > 0,
+			table:      enf.Table.Clone(),
+			decisions:  append([]Decision(nil), enf.Decisions...),
+			masked:     enf.MaskedCells,
+			suppressed: enf.SuppressedRows,
+			rowsIn:     enf.Table.NumRows() + enf.SuppressedRows,
+			epochs:     cur,
+		}
+		plan.foldMu.Lock()
+		if plan.fold == nil {
+			plan.fold = snap
+		}
+		plan.foldMu.Unlock()
+		return enf, nil
+	}
+	// Replay path. Faults still apply: a replayed render consults the
+	// render.worker site once under panic isolation, so chaos schedules
+	// exercise replays too.
+	fi := e.faults.Load()
+	if err := fault.Safely(fault.SiteRenderWorker, m, func() error {
+		return fi.Hit(ctx, fault.SiteRenderWorker)
+	}); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	m.Counter("compile.fold.hits").Inc()
+	enf := &Enforced{
+		Def:            def,
+		Table:          fold.table.Clone(),
+		Decisions:      append([]Decision(nil), fold.decisions...),
+		MaskedCells:    fold.masked,
+		SuppressedRows: fold.suppressed,
+		CacheHit:       hit,
+	}
+	// Replayed renders maintain the same per-render counters the
+	// interpreted body emits.
+	if fold.static {
+		m.Counter("enforce.static_blocks").Inc()
+	} else {
+		m.Counter("enforce.rows.in").Add(uint64(fold.rowsIn))
+		m.Counter("enforce.cells.masked").Add(uint64(fold.masked))
+		m.Counter("enforce.rows.suppressed").Add(uint64(fold.suppressed))
+	}
+	return enf, nil
 }
 
-// renderInterpreted is the uncompiled render body: execute the query and
-// run enforcement over the result.
-func (e *ReportEnforcer) renderInterpreted(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
+// RenderInterpreted is the reference implementation of RenderContext: it
+// executes the query and runs enforcement over the result on every call,
+// neither replaying nor storing a fold. Its body is what RenderContext
+// runs on a fold miss; tests compare folded renders against it and
+// benchmarks use it as the unfolded baseline.
+func (e *ReportEnforcer) RenderInterpreted(ctx context.Context, def *report.Definition, consumer report.Consumer) (*Enforced, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	plan, hit, err := e.planFor(def, consumer.Role, consumer.Purpose)
+	if err != nil {
+		return nil, err
+	}
+	return e.interpret(ctx, def, consumer, plan, hit)
+}
+
+// interpret is the render body shared by RenderInterpreted and a fold
+// miss: execute the query and run enforcement over the result.
+func (e *ReportEnforcer) interpret(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
 	m := e.obs()
 	execStart := time.Now()
 	raw, err := e.Catalog.Exec(plan.sel)
@@ -608,87 +688,6 @@ func (e *ReportEnforcer) renderInterpreted(ctx context.Context, def *report.Defi
 	m.Counter("enforce.cells.masked").Add(uint64(enf.MaskedCells))
 	m.Counter("enforce.rows.suppressed").Add(uint64(enf.SuppressedRows))
 	enf.Table = out
-	return enf, nil
-}
-
-// renderCompiled executes the plan's residual program. The program's
-// pinned generations include the catalog generation and registered
-// relations are immutable between catalog generations, so within a valid
-// plan the enforced result is a constant: the first execution runs the
-// full pipeline through the program's baked thresholds and pre-bound
-// predicates and folds the result; every subsequent render replays the
-// fold — zero query execution, zero policy interpretation — re-emitting
-// the same decisions into the audit trail.
-func (e *ReportEnforcer) renderCompiled(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
-	m := e.obs()
-	// Epoch check: the fold is a constant of the plan's *data*, not only
-	// its generations. An incremental refresh (Catalog.Refresh) moves the
-	// per-table epochs without moving the catalog generation, so the plan
-	// survives a delta while folds over touched tables re-fold. The
-	// snapshot is taken before query execution; a commit racing the fold
-	// can only make the stored snapshot stale, forcing one extra re-fold —
-	// never a stale replay.
-	cur := e.Catalog.EpochsFor(plan.reads)
-	plan.foldMu.Lock()
-	fold := plan.fold
-	if fold != nil && !epochsEqual(fold.epochs, cur) {
-		plan.fold = nil
-		fold = nil
-		m.Counter("compile.fold.invalidations").Inc()
-	}
-	plan.foldMu.Unlock()
-	if fold == nil {
-		m.Counter("compile.fold.misses").Inc()
-		enf, err := e.renderInterpreted(ctx, def, consumer, plan, hit)
-		if err != nil {
-			return nil, err
-		}
-		snap := &foldedRender{
-			static:     len(Blocked(plan.static)) > 0,
-			table:      enf.Table.Clone(),
-			decisions:  append([]Decision(nil), enf.Decisions...),
-			masked:     enf.MaskedCells,
-			suppressed: enf.SuppressedRows,
-			rowsIn:     enf.Table.NumRows() + enf.SuppressedRows,
-			epochs:     cur,
-		}
-		plan.foldMu.Lock()
-		if plan.fold == nil {
-			plan.fold = snap
-		}
-		plan.foldMu.Unlock()
-		return enf, nil
-	}
-	// Replay path. Faults still apply: a replayed render consults the
-	// render.worker site once under panic isolation, so chaos schedules
-	// exercise compiled renders too.
-	fi := e.faults.Load()
-	if err := fault.Safely(fault.SiteRenderWorker, m, func() error {
-		return fi.Hit(ctx, fault.SiteRenderWorker)
-	}); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m.Counter("compile.fold.hits").Inc()
-	enf := &Enforced{
-		Def:            def,
-		Table:          fold.table.Clone(),
-		Decisions:      append([]Decision(nil), fold.decisions...),
-		MaskedCells:    fold.masked,
-		SuppressedRows: fold.suppressed,
-		CacheHit:       hit,
-	}
-	// Replayed renders maintain the same per-render counters the
-	// interpreted path emits.
-	if fold.static {
-		m.Counter("enforce.static_blocks").Inc()
-	} else {
-		m.Counter("enforce.rows.in").Add(uint64(fold.rowsIn))
-		m.Counter("enforce.cells.masked").Add(uint64(fold.masked))
-		m.Counter("enforce.rows.suppressed").Add(uint64(fold.suppressed))
-	}
 	return enf, nil
 }
 

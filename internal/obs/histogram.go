@@ -24,8 +24,7 @@ var DefaultLatencyBuckets = []time.Duration{
 type Histogram struct {
 	bounds []time.Duration
 	counts []atomic.Uint64 // len(bounds)+1; last is overflow
-	count  atomic.Uint64
-	sum    atomic.Int64 // nanoseconds
+	sum    atomic.Int64    // nanoseconds
 }
 
 // NewHistogram builds a histogram over the given bucket upper bounds
@@ -46,7 +45,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sum.Add(int64(d))
 }
 
@@ -68,20 +66,21 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot copies the current counts. Concurrent Observe calls may land
-// between bucket reads; the snapshot is still internally plausible
-// (every counted observation is in some bucket it was added to).
+// between bucket reads, but Count is the sum of exactly the bucket and
+// overflow counts this snapshot read, so the snapshot is always coherent.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
 	s := HistogramSnapshot{
-		Count:    h.count.Load(),
 		Sum:      time.Duration(h.sum.Load()),
 		Buckets:  make([]Bucket, len(h.bounds)),
 		Overflow: h.counts[len(h.bounds)].Load(),
 	}
+	s.Count = s.Overflow
 	for i, b := range h.bounds {
 		s.Buckets[i] = Bucket{UpperBound: b, Count: h.counts[i].Load()}
+		s.Count += s.Buckets[i].Count
 	}
 	return s
 }

@@ -130,9 +130,13 @@ type colDict struct {
 // dictionary's prefix (rows [0, from)) and encoding the appended rows
 // with the retained id assignment — first-seen code order is identical
 // to rebuilding from scratch. Copy-on-write: concurrent readers keep
-// using the old dictionary safely.
+// using the old dictionary safely. A dictionary that does not cover
+// exactly the prefix cannot be extended.
 func (d *colDict) extend(base *relation.Table, ci, from int) (*colDict, bool) {
 	n := base.NumRows()
+	if len(d.codes) != from {
+		return nil, false
+	}
 	codes := make([]int32, n)
 	copy(codes, d.codes[:from])
 	ids := make(map[relation.ValKey]int32, len(d.ids))
@@ -156,14 +160,17 @@ func (d *colDict) extend(base *relation.Table, ci, from int) (*colDict, bool) {
 }
 
 // colDict returns (building and caching on first use) the dictionary
-// encoding of column ci of the registered base table. The cache is
-// invalidated when RegisterBase replaces the table. The returned dict is
-// immutable, so concurrent enforcement workers share it safely.
+// encoding of column ci of base. The cache only ever describes the
+// currently registered version of the table: RegisterBase drops it,
+// RefreshBase extends it, and a dictionary built from a version that a
+// concurrent refresh has since superseded is returned uncached. The
+// returned dict is immutable, so concurrent enforcement workers share it
+// safely.
 func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
 	key := strings.ToLower(table)
 	t.mu.RLock()
-	if cols, ok := t.dicts[key]; ok {
-		if d, ok := cols[ci]; ok {
+	if t.bases[key] == base {
+		if d, ok := t.dicts[key][ci]; ok {
 			t.mu.RUnlock()
 			return d
 		}
@@ -190,6 +197,10 @@ func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
 	}
 	d.card = len(ids)
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.bases[key] != base {
+		return d
+	}
 	if t.dicts == nil {
 		t.dicts = map[string]map[int]*colDict{}
 	}
@@ -197,15 +208,14 @@ func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
 		t.dicts[key] = map[int]*colDict{}
 	}
 	t.dicts[key][ci] = d
-	t.mu.Unlock()
 	return d
 }
 
 // Tracer resolves lineage references against registered base tables.
 // It is safe for concurrent use.
 type Tracer struct {
-	mu     sync.RWMutex
-	bases  map[string]*relation.Table
+	mu    sync.RWMutex
+	bases map[string]*relation.Table
 	dicts map[string]map[int]*colDict // table -> column index -> encoding
 }
 

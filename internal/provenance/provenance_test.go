@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -139,4 +140,47 @@ func TestGraphUpstreamPartial(t *testing.T) {
 	if got := g.Explain("unknown"); !strings.Contains(got, "base relation") {
 		t.Errorf("explain unknown = %s", got)
 	}
+}
+
+// TestColDictSupersededBase pins the dictionary cache against a refresh
+// racing a dictionary build: a dictionary built from a base version that
+// RefreshBase has since replaced must not be installed for the new
+// version, so later threshold checks and append refreshes see a
+// dictionary covering every row of the registered table.
+func TestColDictSupersededBase(t *testing.T) {
+	version := func(n int) *relation.Table {
+		tb := relation.NewBase("visits", relation.NewSchema(relation.Col("patient", relation.TString)))
+		for i := 0; i < n; i++ {
+			tb.AppendVals(relation.Str(fmt.Sprintf("p%d", i%12)))
+		}
+		return tb
+	}
+	tr := NewTracer()
+	tr.RegisterBase(version(10))
+	old, _ := tr.base("visits")
+	tr.RefreshBase(version(20), 10)
+	if d := tr.colDict("visits", old, 0); d == nil || len(d.codes) != 10 {
+		t.Fatalf("dictionary over the superseded base: %+v", d)
+	}
+
+	check := func(rows ...int) {
+		t.Helper()
+		rt := RowTrace{}
+		for _, r := range rows {
+			rt.Rows = append(rt.Rows, relation.RowRef{Table: "visits", Row: r})
+		}
+		cur, _ := tr.base("visits")
+		want := tr.distinctSupportRows(rt, cur, "visits", 0)
+		if got := tr.DistinctSupport(rt, "visits", "patient"); got != want {
+			t.Errorf("DistinctSupport(%v) = %d, want %d", rows, got, want)
+		}
+	}
+	check(15)
+	check(3, 15)
+	check(14, 15)
+
+	tr.RefreshBase(version(30), 20)
+	check(15, 27)
+	check(25, 26)
+	check(0, 12, 24, 29)
 }

@@ -19,23 +19,14 @@ const (
 	ExecVectorized ExecMode = iota
 	// ExecRowAtATime runs the reference tuple-at-a-time implementations.
 	ExecRowAtATime
-	// ExecCompiled runs the vectorized kernels underneath residual
-	// programs compiled by internal/compile: relational operators behave
-	// exactly as in ExecVectorized, while the enforcement layer executes
-	// pre-specialized programs instead of interpreting composites.
-	ExecCompiled
 )
 
 // String names the mode for logs and benchmark labels.
 func (m ExecMode) String() string {
-	switch m {
-	case ExecRowAtATime:
+	if m == ExecRowAtATime {
 		return "row"
-	case ExecCompiled:
-		return "compiled"
-	default:
-		return "vectorized"
 	}
+	return "vectorized"
 }
 
 var execMode atomic.Int32

@@ -151,7 +151,7 @@ func TestSegmentOpsEquivalence(t *testing.T) {
 	modes := []struct {
 		name string
 		m    ExecMode
-	}{{"row", ExecRowAtATime}, {"vec", ExecVectorized}, {"compiled", ExecCompiled}}
+	}{{"row", ExecRowAtATime}, {"vec", ExecVectorized}}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed + 9000))
 		mem := randTable(rng, "t", 2+rng.Intn(3), rng.Intn(50))
@@ -440,12 +440,12 @@ func TestSegmentCorruptionFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptions := map[string]func([]byte) []byte{
-		"bad magic":    func(b []byte) []byte { c := append([]byte(nil), b...); c[0] ^= 0xff; return c },
-		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
-		"header flip":  func(b []byte) []byte { c := append([]byte(nil), b...); c[14] ^= 0x01; return c },
-		"body flip":    func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-3] ^= 0x01; return c },
-		"trailing":     func(b []byte) []byte { return append(append([]byte(nil), b...), 0) },
-		"empty":        func([]byte) []byte { return nil },
+		"bad magic":   func(b []byte) []byte { c := append([]byte(nil), b...); c[0] ^= 0xff; return c },
+		"truncated":   func(b []byte) []byte { return b[:len(b)/2] },
+		"header flip": func(b []byte) []byte { c := append([]byte(nil), b...); c[14] ^= 0x01; return c },
+		"body flip":   func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-3] ^= 0x01; return c },
+		"trailing":    func(b []byte) []byte { return append(append([]byte(nil), b...), 0) },
+		"empty":       func([]byte) []byte { return nil },
 	}
 	for name, mut := range corruptions {
 		if err := os.WriteFile(path, mut(orig), 0o644); err != nil {

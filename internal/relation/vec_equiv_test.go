@@ -13,23 +13,17 @@ import (
 // row-at-a-time reference implementations: same rows in the same order,
 // same lineage sets, same column origins, same schema types, same errors.
 // These property tests compare both paths on randomized tables and
-// predicates. The compiled mode is checked alongside: inside the
-// relational kernels ExecCompiled must behave exactly as ExecVectorized
-// (residual-program specialization lives in the enforcement layer above).
+// predicates.
 
 // withBothModes runs op under each execution mode and returns the
-// vectorized and row-at-a-time results; the compiled-mode run is
-// asserted identical to the vectorized one in place.
+// vectorized and row-at-a-time results.
 func withBothModes(t *testing.T, op func() (*Table, error)) (vec, row *Table, vecErr, rowErr error) {
 	t.Helper()
 	prev := SetExecMode(ExecVectorized)
 	vec, vecErr = op()
-	SetExecMode(ExecCompiled)
-	compiled, compiledErr := op()
 	SetExecMode(ExecRowAtATime)
 	row, rowErr = op()
 	SetExecMode(prev)
-	requireSameOutcome(t, "compiled-vs-vectorized", vec, compiled, vecErr, compiledErr)
 	return vec, row, vecErr, rowErr
 }
 

@@ -176,7 +176,6 @@ type options struct {
 	retry      *fault.RetryPolicy
 	retrySites map[string]fault.RetryPolicy
 	failClosed bool
-	compiled   bool
 	segmentDir string
 	segmentSet bool
 	spillRows  int
@@ -304,9 +303,6 @@ func (o *options) apply(ce *core.Engine) {
 	if o.failClosed {
 		ce.SetFailClosed(true)
 	}
-	if o.compiled {
-		ce.SetCompiledRenders(true)
-	}
 	if o.faultsSet && o.faults != nil {
 		ce.SetFaults(o.faults)
 	}
@@ -404,15 +400,6 @@ func WithRetryPolicyFor(site string, p RetryPolicy) Option {
 // audit.sink_drops and delivery proceeds).
 func WithFailClosed() Option {
 	return func(o *options) { o.failClosed = true }
-}
-
-// WithCompiledRenders makes this engine execute every render through its
-// residual compiled program (see CompileReport), independent of the
-// process-wide execution mode. Outputs are byte-identical to the other
-// modes; repeated renders at unchanged policy/catalog generations replay
-// the constant-folded result.
-func WithCompiledRenders() Option {
-	return func(o *options) { o.compiled = true }
 }
 
 // WithSegmentStore roots the engine's out-of-core columnar storage at
@@ -591,7 +578,7 @@ func (e *Engine) Render(ctx context.Context, reportID string, c Consumer) (*Enfo
 // CompileReport specializes one (report, role, purpose) triple into its
 // residual render program — the partial evaluation of the composed PLA
 // set against the current policy, catalog and scope generations. The
-// returned program is the exact object compiled renders execute: it
+// returned program is the exact object renders execute: it
 // lands in the generation-keyed decision cache, and any policy change
 // (AddPLAs, DeriveMetaReports, hot reload) invalidates it and forces a
 // recompile. Unknown ids wrap ErrUnknownReport.
@@ -616,10 +603,6 @@ func (e *Engine) Precompile() (int, error) { return e.core.Precompile() }
 // ProgramGeneration counts residual programs compiled over the engine's
 // lifetime; a bump after AddPLAs or a reload proves recompilation.
 func (e *Engine) ProgramGeneration() uint64 { return e.core.ProgramGeneration() }
-
-// SetCompiledRenders toggles compiled-program execution at runtime (see
-// WithCompiledRenders).
-func (e *Engine) SetCompiledRenders(on bool) { e.core.SetCompiledRenders(on) }
 
 // ComplianceSuite generates the PLA-derived test suite for one report
 // and consumer.
