@@ -54,7 +54,8 @@ bench:
 # Full core-kernel measurement run: vectorized vs row-at-a-time vs
 # nested-loop, and the production (folded) render vs the interpreted
 # render, at 1k/10k/100k, converted to BENCH_core.json with the >=5x
-# vectorized and >=1.5x compiled speedup floors enforced.
+# vectorized and >=1.5x compiled speedup floors and the <=40x ETL
+# 100k-over-10k scaling ceiling enforced.
 # The out-of-core families (RenderSegment/JoinSegment/ScanPruned) are
 # excluded here — they have their own scale lane below.
 bench-core:
@@ -101,12 +102,13 @@ serve-bench:
 chaos:
 	CHAOS_ARTIFACT_DIR=./chaos-artifacts $(GO) test -race -run TestChaos ./internal/core -count=1 -v
 
-# Short fuzz campaigns over the SQL parser, the PLA DSL parser and the
-# columnar segment decoder; the checked-in corpora under */testdata/fuzz
-# replay first.
+# Short fuzz campaigns over the SQL parser, the PLA DSL parser, the
+# columnar segment decoder and Jaro-Winkler (byte path ≡ rune path, bound
+# ≥ score); the checked-in corpora under */testdata/fuzz replay first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSelect -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime $(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/relation
+	$(GO) test -run '^$$' -fuzz FuzzJaroWinkler -fuzztime $(FUZZTIME) ./internal/textutil
 
 ci: lint build race chaos bench-smoke scale-ceiling bench-scale cover

@@ -16,8 +16,9 @@
 // scale: the hash join must beat the nested-loop reference and the
 // batched render must beat the row-at-a-time reference by at least -min
 // (default 5.0), and the compiled render must beat the vectorized render
-// by at least -min-compiled (default 1.5). CI fails the bench job on a
-// violation.
+// by at least -min-compiled (default 1.5); and the ETL pipeline at 100k
+// rows must take at most 40× its time at 10k rows. CI fails the bench
+// job on a violation.
 package main
 
 import (
@@ -316,11 +317,17 @@ func checkDelta(benchmarks []Benchmark, sp []Speedup, minDelta, minRetained floa
 	return nil
 }
 
+// maxETLScaling caps the vectorized ETL time at n=100000 over its time
+// at n=10000. A pipeline linear in its input scales 10×; entity
+// resolution that scores every blocked candidate scaled 75×.
+const maxETLScaling = 40.0
+
 // check enforces the acceptance floors: at the largest measured scale,
 // the hash join must be ≥ min× the nested-loop baseline, the batched
 // render ≥ min× the row-at-a-time baseline, and the compiled render
-// ≥ minCompiled× the vectorized render.
-func check(sp []Speedup, min, minCompiled float64) error {
+// ≥ minCompiled× the vectorized render; and the ETL pipeline must scale
+// from 10k to 100k rows within maxETLScaling.
+func check(benchmarks []Benchmark, sp []Speedup, min, minCompiled float64) error {
 	floors := []struct {
 		family, baseline string
 		floor            float64
@@ -333,6 +340,24 @@ func check(sp []Speedup, min, minCompiled float64) error {
 		if err := enforceFloor(sp, f.family, f.baseline, f.floor); err != nil {
 			return err
 		}
+	}
+	return checkETLScaling(benchmarks)
+}
+
+// checkETLScaling enforces maxETLScaling on the vectorized ETL family.
+func checkETLScaling(benchmarks []Benchmark) error {
+	ns := map[int]float64{}
+	for _, b := range benchmarks {
+		if b.Family == "ETL" && b.Mode == "vectorized" {
+			ns[b.N] = b.NsPerOp
+		}
+	}
+	small, large := ns[10000], ns[100000]
+	if small == 0 || large == 0 {
+		return fmt.Errorf("missing vectorized ETL measurement at n=10000 and n=100000")
+	}
+	if r := large / small; r > maxETLScaling {
+		return fmt.Errorf("ETL at n=100000 takes %.1fx its n=10000 time (ceiling %.0fx)", r, maxETLScaling)
 	}
 	return nil
 }
@@ -360,7 +385,7 @@ func main() {
 	in := flag.String("in", "-", "benchmark output to parse ('-' for stdin)")
 	out := flag.String("out", "BENCH_core.json", "where to write the JSON report")
 	suite := flag.String("suite", "core", "suite label recorded in the report")
-	doCheck := flag.Bool("check", false, "fail unless the 100k join/render speedup floors hold")
+	doCheck := flag.Bool("check", false, "fail unless the 100k join/render speedup floors and the ETL scaling ceiling hold")
 	doCheckScale := flag.Bool("check-scale", false, "fail unless the segment render was measured and the pruning floor holds")
 	doCheckDelta := flag.Bool("check-delta", false, "fail unless the delta-over-rebuild refresh floor and the plan-cache retention floor hold")
 	min := flag.Float64("min", 5.0, "vectorized-over-reference speedup floor enforced by -check")
@@ -430,10 +455,10 @@ func main() {
 		fmt.Printf("delta floors hold (>= %.1fx vs rebuild, cache retention >= %.0f%%)\n", *min, *minRetained*100)
 	}
 	if *doCheck {
-		if err := check(rep.Speedups, *min, *minCompiled); err != nil {
+		if err := check(rep.Benchmarks, rep.Speedups, *min, *minCompiled); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson: FAIL:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("speedup floors hold (>= %.1fx, compiled >= %.1fx)\n", *min, *minCompiled)
+		fmt.Printf("speedup floors hold (>= %.1fx, compiled >= %.1fx, ETL 100k/10k <= %.0fx)\n", *min, *minCompiled, maxETLScaling)
 	}
 }

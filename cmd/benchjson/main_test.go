@@ -17,6 +17,8 @@ BenchmarkCoreJoinNested/n=100000-8                 	       1	1700000000 ns/op	90
 BenchmarkCoreRender/n=100000/mode=vectorized-8     	      40	  27000000 ns/op	17000000 B/op	    1000 allocs/op
 BenchmarkCoreRender/n=100000/mode=row-8            	       7	 160000000 ns/op	54000000 B/op	  420000 allocs/op
 BenchmarkCoreRenderCompiled/n=100000/mode=compiled-8	     200	   6000000 ns/op	 9000000 B/op	     400 allocs/op
+BenchmarkCoreETL/n=10000/mode=vectorized-8         	       5	  20000000 ns/op	21000000 B/op	   28000 allocs/op
+BenchmarkCoreETL/n=100000/mode=vectorized-8        	       5	 190000000 ns/op	192000000 B/op	  272000 allocs/op
 PASS
 ok  	plabi	42.000s
 `
@@ -26,8 +28,8 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bs) != 8 {
-		t.Fatalf("parsed %d benchmarks, want 8", len(bs))
+	if len(bs) != 10 {
+		t.Fatalf("parsed %d benchmarks, want 10", len(bs))
 	}
 	b := bs[2]
 	if b.Family != "Join" || b.N != 100000 || b.Mode != "vectorized" {
@@ -157,16 +159,33 @@ func TestScaleSummaryAndCheck(t *testing.T) {
 func TestCheck(t *testing.T) {
 	bs, _ := parse(strings.NewReader(sample))
 	sp := speedups(bs)
-	if err := check(sp, 5.0, 1.5); err != nil {
+	if err := check(bs, sp, 5.0, 1.5); err != nil {
 		t.Fatalf("floors should hold on sample: %v", err)
 	}
-	if err := check(sp, 50.0, 1.5); err == nil {
+	if err := check(bs, sp, 50.0, 1.5); err == nil {
 		t.Fatal("a 50x floor should fail on the sample")
 	}
-	if err := check(sp, 5.0, 10.0); err == nil {
+	if err := check(bs, sp, 5.0, 10.0); err == nil {
 		t.Fatal("a 10x compiled floor should fail on the sample")
 	}
-	if err := check(nil, 5.0, 1.5); err == nil {
+	if err := check(nil, nil, 5.0, 1.5); err == nil {
 		t.Fatal("missing measurements should fail the check")
+	}
+}
+
+func TestCheckETLScaling(t *testing.T) {
+	bs, _ := parse(strings.NewReader(sample))
+	if err := checkETLScaling(bs); err != nil {
+		t.Fatalf("a 9.5x ETL scaling should hold: %v", err)
+	}
+	quadratic, _ := parse(strings.NewReader(`BenchmarkCoreETL/n=10000/mode=vectorized-8   5   21000000 ns/op
+BenchmarkCoreETL/n=100000/mode=vectorized-8  5  1580000000 ns/op
+BenchmarkCoreETL/n=100000/mode=row-8         5    30000000 ns/op
+`))
+	if err := checkETLScaling(quadratic); err == nil {
+		t.Fatal("a 75x ETL scaling should fail the ceiling")
+	}
+	if err := checkETLScaling(quadratic[1:]); err == nil {
+		t.Fatal("a missing 10k measurement should fail the check")
 	}
 }

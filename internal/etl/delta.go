@@ -441,7 +441,8 @@ func (p *Pipeline) joinDelta(c *Context, j *JoinStep, rerun func() (Change, bool
 }
 
 // erDelta re-resolves only the changed input rows against an unchanged
-// canonical table (a canon change invalidates every match and reruns).
+// canonical table, reusing the step's matcher (a canon change
+// invalidates every match and reruns).
 func (p *Pipeline) erDelta(ctx context.Context, c *Context, e *EntityResolution, rerun func() (Change, bool, error), changes map[string]Change) (Change, bool, error) {
 	ich, iok := changes[strings.ToLower(e.Input)]
 	_, cok := changes[strings.ToLower(e.Canon)]
@@ -449,58 +450,16 @@ func (p *Pipeline) erDelta(ctx context.Context, c *Context, e *EntityResolution,
 	if oerr != nil || cok || !iok || ich.Rebuilt {
 		return rerun()
 	}
-	in, err := c.Get(e.Input)
+	in, ti, err := e.prepare(c)
 	if err != nil {
 		return Change{}, false, err
-	}
-	canon, err := c.Get(e.Canon)
-	if err != nil {
-		return Change{}, false, err
-	}
-	for _, donor := range baseTablesOf(canon) {
-		if err := c.Guard.CheckIntegration(donor, e.Beneficiary); err != nil {
-			return Change{}, false, &ViolationError{Step: e.name, Rule: "integration-permission",
-				Detail: fmt.Sprintf("donor %s cleaning data of %s: %v", donor, e.Beneficiary, err), Cause: err}
-		}
-	}
-	ci := canon.Schema.Index(e.CanonColumn)
-	if ci < 0 {
-		return Change{}, false, fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
-	}
-	canon, err = canon.Materialize()
-	if err != nil {
-		return Change{}, false, err
-	}
-	matcher := newMatcher()
-	for _, r := range canon.Rows {
-		if v := r[ci]; v.Kind == relation.TString {
-			matcher.add(v.S)
-		}
-	}
-	ti := in.Schema.Index(e.Column)
-	if ti < 0 {
-		return Change{}, false, fmt.Errorf("entity-resolution: column %q not found", e.Column)
 	}
 	dirty := append(append([]int(nil), ich.Updated...), appendedIdx(in, ich)...)
 	sub, err := relation.SliceRows(in, dirty)
 	if err != nil {
 		return Change{}, false, err
 	}
-	resolved, unmatched := 0, 0
-	subOut, err := mapCol(ctx, sub, ti, func(v relation.Value) relation.Value {
-		if v.Kind != relation.TString {
-			return v
-		}
-		best, ok := matcher.match(v.S, e.Threshold)
-		if !ok {
-			unmatched++
-			return v
-		}
-		if best != v.S {
-			resolved++
-		}
-		return relation.Str(best)
-	})
+	subOut, resolved, unmatched, err := e.resolve(ctx, sub, ti)
 	if err != nil {
 		return Change{}, false, err
 	}
